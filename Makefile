@@ -174,11 +174,14 @@ bench-smoke:
 # repeats every benchmark and benchjson keeps each one's fastest
 # repetition: on shared machines single runs swing far past the compare
 # gate on interference alone, and the minimum is the closest estimate of
-# the code's cost.
+# the code's cost. BENCH_OUT names the output file: by default the
+# BENCH_PR<n>.json one past the newest committed, which bench-compare then
+# picks up as the candidate.
+BENCH_OUT ?= BENCH_PR$(shell ls BENCH_PR*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -1 | awk '{print $$1 + 1}').json
 bench-json:
 	$(GO) test -run '^$$' -benchmem -count=3 \
-		-bench 'BenchmarkJoinEquiSelective|BenchmarkJoinCrossSmall|BenchmarkWhenOverlapIndexed|BenchmarkEvalWhere|BenchmarkJoinParallel|BenchmarkJoinSkewed|BenchmarkPlanWithStats|BenchmarkAsOfCached|BenchmarkWindowAggregate|BenchmarkCoalesce|BenchmarkReplicaCatchup|BenchmarkReadFanout|BenchmarkAsOf1M|BenchmarkOverlap1M|BenchmarkSegmentSeal|BenchmarkIngestThroughput' \
-		./tquel ./server . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+		-bench 'BenchmarkJoinEquiSelective|BenchmarkJoinCrossSmall|BenchmarkWhenOverlapIndexed|BenchmarkEvalWhere|BenchmarkJoinParallel|BenchmarkJoinSkewed|BenchmarkPlanWithStats|BenchmarkAsOfCached|BenchmarkWindowAggregate|BenchmarkCoalesce|BenchmarkKeyedOps|BenchmarkReplicaCatchup|BenchmarkReadFanout|BenchmarkAsOf1M|BenchmarkOverlap1M|BenchmarkSegmentSeal|BenchmarkIngestThroughput' \
+		./tquel ./server . | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # Guard against the committed baseline: exits non-zero when a shared
 # benchmark got more than 1.25x slower (CI runs this warn-only; see ci.yml).

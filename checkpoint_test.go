@@ -116,7 +116,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// Rollback still reaches pre-checkpoint history: as of 12/10/82 the
 	// belief was "a until 12/01/82, then b".
 	rel, _ := db2.Relation("r_temporal")
-	vs, err := rel.VisibleVersions(d821210, true)
+	vs, _, err := rel.Scan(ScanSpec{AsOf: d821210, HasAsOf: true})
 	if err != nil {
 		t.Fatal(err)
 	}

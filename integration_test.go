@@ -323,7 +323,7 @@ func TestFacadeMatchesDataset(t *testing.T) {
 		return out
 	}
 	for _, at := range dataset.Commits(events) {
-		facadeVs, err := rel.VisibleVersions(at, true)
+		facadeVs, _, err := rel.Scan(tdb.ScanSpec{AsOf: at, HasAsOf: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,7 +250,9 @@ func (s *TemporalStore) AsOfFiltered(t temporal.Chronon, filters []*segment.Filt
 	countRead(Temporal)
 	var out []Version
 	if s.useIndex {
+		stabbed := 0
 		s.byTrans.Stab(t, func(_ temporal.Interval, pos int) bool {
+			stabbed++
 			if !s.log.Match(pos, filters) {
 				return true
 			}
@@ -258,12 +260,14 @@ func (s *TemporalStore) AsOfFiltered(t temporal.Chronon, filters []*segment.Filt
 			out = append(out, Version{Data: row.Data, Valid: row.Valid, Trans: row.Trans})
 			return true
 		})
+		countExamined(stabbed)
 		return out
 	}
 	s.log.ScanAsOf(t, filters, func(_ int, r segment.Row) bool {
 		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
 		return true
 	})
+	countExamined(len(out))
 	return out
 }
 
@@ -278,12 +282,13 @@ func (s *TemporalStore) During(window temporal.Interval) []Version {
 			out = append(out, Version{Data: row.Data, Valid: row.Valid, Trans: iv})
 			return true
 		})
-		return out
+	} else {
+		s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
+			out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
+			return true
+		})
 	}
-	s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
-		return true
-	})
+	countExamined(len(out))
 	return out
 }
 
@@ -317,20 +322,31 @@ func (s *TemporalStore) WhenFiltered(q temporal.Interval, asOf temporal.Chronon,
 		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
 		return true
 	})
+	countExamined(len(out))
 	return out
 }
 
 // History returns the currently believed versions for key in valid order.
 func (s *TemporalStore) History(key tuple.Tuple) []Version {
+	out := s.CurrentVersions(key)
+	sortVersionsByValid(out)
+	return out
+}
+
+// CurrentVersions returns the currently believed versions for key in commit
+// order, straight from the current-version key index: the same rows, in
+// the same order, a current-belief scan keeps for that key.
+func (s *TemporalStore) CurrentVersions(key tuple.Tuple) []Version {
 	countRead(Temporal)
+	posts := sortedPostings(s.byKey.Lookup(key.Hash64()))
+	countExamined(len(posts))
 	var out []Version
-	for _, pos := range s.byKey.Lookup(key.Hash64()) {
+	for _, pos := range posts {
 		row := s.log.Row(pos)
 		if row.Trans.To == temporal.Forever && tuple.Equal(row.Data.Key(s.sch), key) {
 			out = append(out, Version{Data: row.Data, Valid: row.Valid, Trans: row.Trans})
 		}
 	}
-	sortVersionsByValid(out)
 	return out
 }
 
@@ -340,9 +356,12 @@ func (s *TemporalStore) History(key tuple.Tuple) []Version {
 // Callers must still compare the key projection: hashes can collide.
 func (s *TemporalStore) ScanKey(kh uint64, fn func(Version) bool) {
 	countRead(Temporal)
+	n := 0
 	s.log.ScanKey(kh, func(_ int, r segment.Row) bool {
+		n++
 		return fn(Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
 	})
+	countExamined(n)
 }
 
 // RestoreVersion reloads one stored version verbatim, including superseded

@@ -188,20 +188,30 @@ func (s *HistoricalStore) When(q temporal.Interval) []Version {
 		}
 		return true
 	})
+	countExamined(len(out))
 	return out
 }
 
 // History returns all live versions for the given key in valid-time order.
 func (s *HistoricalStore) History(key tuple.Tuple) []Version {
+	out := s.CurrentVersions(key)
+	sortVersionsByValid(out)
+	return out
+}
+
+// CurrentVersions returns all live versions for the given key in storage
+// order — the order Versions yields them in.
+func (s *HistoricalStore) CurrentVersions(key tuple.Tuple) []Version {
 	countRead(Historical)
+	posts := sortedPostings(s.byKey.Lookup(key.Hash64()))
+	countExamined(len(posts))
 	var out []Version
-	for _, pos := range s.byKey.Lookup(key.Hash64()) {
+	for _, pos := range posts {
 		row := s.rows[pos]
 		if row.live && tuple.Equal(row.data.Key(s.sch), key) {
 			out = append(out, Version{Data: row.data, Valid: row.valid, Trans: temporal.All})
 		}
 	}
-	sortVersionsByValid(out)
 	return out
 }
 
@@ -209,10 +219,13 @@ func (s *HistoricalStore) History(key tuple.Tuple) []Version {
 // time is reported as the universal interval since the kind does not model
 // it.
 func (s *HistoricalStore) Versions(fn func(Version) bool) {
+	n := 0
+	defer func() { countExamined(n) }()
 	for _, row := range s.rows {
 		if !row.live {
 			continue
 		}
+		n++
 		if !fn(Version{Data: row.data, Valid: row.valid, Trans: temporal.All}) {
 			return
 		}

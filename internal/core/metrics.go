@@ -18,6 +18,8 @@ var (
 		Historical:     kindCounter("reads", "historical"),
 		Temporal:       kindCounter("reads", "bitemporal"),
 	}
+	versionsExamined = obs.Default.Counter("tdb_core_versions_examined_total",
+		"Stored versions store reads visited: key-index postings, key-hash matches, interval-index stabs, rows the segment scans returned, and the full walks behind static and historical scans.")
 )
 
 func kindCounter(op, kind string) *obs.Counter {
@@ -33,3 +35,6 @@ func countWrite(k Kind) { writesTotal[k].Inc() }
 
 // countRead records one query operation against a store of kind k.
 func countRead(k Kind) { readsTotal[k].Inc() }
+
+// countExamined records n stored versions visited by one store read.
+func countExamined(n int) { versionsExamined.Add(uint64(n)) }

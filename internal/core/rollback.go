@@ -177,6 +177,19 @@ func (s *RollbackStore) Get(key tuple.Tuple) (tuple.Tuple, bool) {
 	return s.log.Row(pos).Data, true
 }
 
+// CurrentVersions returns the current version of key (at most one), found
+// through the current-version key index.
+func (s *RollbackStore) CurrentVersions(key tuple.Tuple) []Version {
+	countRead(StaticRollback)
+	countExamined(len(s.byKey.Lookup(key.Hash64())))
+	pos, ok := s.current(key)
+	if !ok {
+		return nil
+	}
+	r := s.log.Row(pos)
+	return []Version{{Data: r.Data, Valid: temporal.All, Trans: r.Trans}}
+}
+
 // AsOf performs the rollback operation: it returns the static state that
 // was current at transaction time t. The result of rollback on a static
 // rollback relation is a pure static relation (§4.2).
@@ -198,7 +211,7 @@ func (s *RollbackStore) AsOf(t temporal.Chronon) []tuple.Tuple {
 }
 
 // AsOfVersions is AsOf keeping the version stamps, in commit order — the
-// shape the relation facade's VisibleVersions needs. The scan always takes
+// shape the relation facade's Scan needs. The scan always takes
 // the segment path so its zone maps can skip fully-superseded history.
 func (s *RollbackStore) AsOfVersions(t temporal.Chronon) []Version {
 	return s.AsOfVersionsFiltered(t, nil)
@@ -215,6 +228,7 @@ func (s *RollbackStore) AsOfVersionsFiltered(t temporal.Chronon, filters []*segm
 		out = append(out, Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
 		return true
 	})
+	countExamined(len(out))
 	return out
 }
 
@@ -230,12 +244,13 @@ func (s *RollbackStore) During(window temporal.Interval) []Version {
 			out = append(out, Version{Data: s.log.Row(pos).Data, Valid: temporal.All, Trans: iv})
 			return true
 		})
-		return out
+	} else {
+		s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
+			out = append(out, Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
+			return true
+		})
 	}
-	s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
-		return true
-	})
+	countExamined(len(out))
 	return out
 }
 
@@ -264,9 +279,12 @@ func (s *RollbackStore) Versions(fn func(Version) bool) {
 // still compare the key projection: hashes can collide.
 func (s *RollbackStore) ScanKey(kh uint64, fn func(Version) bool) {
 	countRead(StaticRollback)
+	n := 0
 	s.log.ScanKey(kh, func(_ int, r segment.Row) bool {
+		n++
 		return fn(Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
 	})
+	countExamined(n)
 }
 
 // RestoreVersion reloads one stored version verbatim, including superseded

@@ -143,6 +143,7 @@ func (s *StaticStore) popFree(pos int) {
 // Get returns the current tuple with the given key.
 func (s *StaticStore) Get(key tuple.Tuple) (tuple.Tuple, bool) {
 	countRead(Static)
+	countExamined(len(s.byKey.Lookup(key.Hash64())))
 	pos, ok := s.lookup(key)
 	if !ok {
 		return nil, false
@@ -172,9 +173,12 @@ func (s *StaticStore) scan(fn func(tuple.Tuple) bool) {
 // universal interval on both axes: a static relation carries no time.
 func (s *StaticStore) Versions(fn func(Version) bool) {
 	countRead(Static)
+	n := 0
 	s.scan(func(t tuple.Tuple) bool {
+		n++
 		return fn(Version{Data: t, Valid: temporal.All, Trans: temporal.All})
 	})
+	countExamined(n)
 }
 
 // Snapshot returns the current state; now is ignored, since a static

@@ -4,9 +4,10 @@ import (
 	"tdb/temporal"
 )
 
-// IntervalTree is a treap keyed by interval start, augmented with the
-// maximum interval end in each subtree. It answers stabbing queries ("all
-// intervals containing chronon t") and overlap queries in O(log n + k).
+// IntervalTree is a treap keyed by interval start (ties broken by
+// posting), augmented with the maximum interval end in each subtree. It
+// answers stabbing queries ("all intervals containing chronon t") and
+// overlap queries in O(log n + k).
 //
 // The stores use one tree over transaction-time periods: rollback ("as of
 // t") is a stabbing query, so its cost grows with the answer size rather
@@ -60,7 +61,7 @@ func (t *IntervalTree) insert(root, node *itNode) *itNode {
 	if root == nil {
 		return node
 	}
-	if node.iv.From < root.iv.From {
+	if before(node.iv.From, node.pos, root) {
 		root.left = t.insert(root.left, node)
 		if root.left.prio > root.prio {
 			root = rotateRight(root)
@@ -108,23 +109,25 @@ func removeNode(root *itNode, iv temporal.Interval, pos int) (*itNode, bool) {
 	}
 	var removed bool
 	switch {
-	case iv.From < root.iv.From:
+	case before(iv.From, pos, root):
 		root.left, removed = removeNode(root.left, iv, pos)
-	case iv.From > root.iv.From:
+	case iv.From != root.iv.From || pos != root.pos:
 		root.right, removed = removeNode(root.right, iv, pos)
-	case root.iv == iv && root.pos == pos:
+	case root.iv == iv:
 		return merge(root.left, root.right), true
-	default:
-		// Same start; the entry may be in either subtree.
-		root.left, removed = removeNode(root.left, iv, pos)
-		if !removed {
-			root.right, removed = removeNode(root.right, iv, pos)
-		}
 	}
 	if removed {
 		pull(root)
 	}
 	return root, removed
+}
+
+// before reports whether the entry (from, pos) sorts before n: the tree's
+// key is the interval start, ties broken by posting, so every entry has one
+// place and removal descends a single path even when many intervals share
+// a start (a bulk-loaded commit stamps thousands of versions alike).
+func before(from temporal.Chronon, pos int, n *itNode) bool {
+	return from < n.iv.From || from == n.iv.From && pos < n.pos
 }
 
 func merge(a, b *itNode) *itNode {
@@ -144,8 +147,10 @@ func merge(a, b *itNode) *itNode {
 	}
 }
 
-// Stab calls fn for the posting of every interval containing c, stopping
-// early if fn returns false.
+// Stab calls fn for the posting of every interval containing c, in
+// (start, posting) order, stopping early if fn returns false. For the
+// stores' transaction-time trees that is commit order: positions grow with
+// the commit chronon that starts each interval.
 func (t *IntervalTree) Stab(c temporal.Chronon, fn func(iv temporal.Interval, pos int) bool) {
 	stab(t.root, c, fn)
 }

@@ -96,31 +96,13 @@ func (q *Query) keyLookup() (*algebra.Relation, bool) {
 		}
 		keyVals = append(keyVals, v)
 	}
-	key := NewTuple(keyVals...)
-	rel := &algebra.Relation{Schema: sch, Event: q.rel.Event()}
-	switch q.rel.Kind() {
-	case Static:
-		st, _ := q.rel.rel.Static()
-		if t, ok := st.Get(key); ok {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: t, Valid: temporal.All})
-		}
-	case StaticRollback:
-		st, _ := q.rel.rel.Rollback()
-		if t, ok := st.Get(key); ok {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: t, Valid: temporal.All})
-		}
-	case Historical:
-		st, _ := q.rel.rel.Historical()
-		for _, v := range st.History(key) {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
-		}
-	case Temporal:
-		st, _ := q.rel.rel.Temporal()
-		for _, v := range st.History(key) {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
-		}
-	default:
+	vs, _, err := scanRel(q.rel.rel, ScanSpec{Key: NewTuple(keyVals...)})
+	if err != nil {
 		return nil, false
+	}
+	rel := &algebra.Relation{Schema: sch, Event: q.rel.Event()}
+	for _, v := range vs {
+		rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
 	}
 	return rel, true
 }

@@ -1,7 +1,7 @@
 package tdb
 
 import (
-	"fmt"
+	"sort"
 
 	"tdb/internal/catalog"
 	"tdb/internal/core"
@@ -132,37 +132,25 @@ func (r *Relation) RetractAt(key Tuple, at temporal.Chronon) error {
 // Get returns the current tuple with the given key in a static or rollback
 // relation.
 func (r *Relation) Get(key Tuple) (Tuple, bool, error) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	switch r.Kind() {
-	case Static:
-		st, _ := r.rel.Static()
-		t, ok := st.Get(key)
-		return t, ok, nil
-	case StaticRollback:
-		st, _ := r.rel.Rollback()
-		t, ok := st.Get(key)
-		return t, ok, nil
-	default:
+	if r.Kind().SupportsHistorical() {
 		return nil, false, ErrKindMismatch
 	}
+	vs, _, err := r.Scan(ScanSpec{Key: key})
+	if err != nil || len(vs) == 0 {
+		return nil, false, err
+	}
+	return vs[0].Data, true, nil
 }
 
 // History returns the currently believed versions for the key, in valid
 // order, for historical and temporal relations.
 func (r *Relation) History(key Tuple) ([]Version, error) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	switch r.Kind() {
-	case Historical:
-		st, _ := r.rel.Historical()
-		return st.History(key), nil
-	case Temporal:
-		st, _ := r.rel.Temporal()
-		return st.History(key), nil
-	default:
+	if !r.Kind().SupportsHistorical() {
 		return nil, ErrNoValidTime
 	}
+	vs, _, err := r.Scan(ScanSpec{Key: key})
+	sort.SliceStable(vs, func(i, j int) bool { return vs[i].Valid.From < vs[j].Valid.From })
+	return vs, err
 }
 
 // AuditTrail returns every version ever stored for the key, superseded
@@ -217,136 +205,10 @@ func (r *Relation) VersionCount() int {
 	return len(r.Versions())
 }
 
-// VisibleVersions returns the versions a query sees: the current belief
-// when hasAsOf is false, or the state as of transaction time asOf when true
-// (an error for kinds without transaction time). Each version carries both
-// its valid and transaction periods, with the universal interval standing
-// in for axes the kind does not record. This is the primitive the TQuel
-// executor binds range variables to. The returned slice is a private copy,
-// safe to read from any number of goroutines (see the type comment).
-func (r *Relation) VisibleVersions(asOf temporal.Chronon, hasAsOf bool) ([]Version, error) {
-	return r.VisibleVersionsFiltered(asOf, hasAsOf, nil)
-}
-
-// VisibleVersionsFiltered is VisibleVersions with optional comparison
-// pre-filters (built with EqFilter/CmpFilter) evaluated on the columnar
-// segments — and, on the interval-indexed as-of path, per stabbed position —
-// before any tuple is materialized. Filters are an acceleration only:
-// callers keep the originating conjuncts and re-verify them on the returned
-// versions, so a filter can never change an answer, only shrink the set of
-// versions materialized. Stores without columnar segments apply the filters
-// row-wise, which is equally sound.
-func (r *Relation) VisibleVersionsFiltered(asOf temporal.Chronon, hasAsOf bool, filters []*segment.Filter) ([]Version, error) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	st := r.rel.Store()
-	if hasAsOf && !st.Kind().SupportsRollback() {
-		return nil, ErrNoRollback
-	}
-	var out []Version
-	switch s := st.(type) {
-	case *core.RollbackStore:
-		probe := temporal.Forever - 1
-		if hasAsOf {
-			probe = asOf
-		}
-		// Zone-mapped segment scan in commit order — the same rows, in the
-		// same order, a flat Versions walk with a Trans.Contains(probe)
-		// filter would produce.
-		out = s.AsOfVersionsFiltered(probe, filters)
-	case *core.TemporalStore:
-		if !hasAsOf {
-			asOf = temporal.Forever - 1
-		}
-		out = s.AsOfFiltered(asOf, filters)
-	default:
-		// Static and historical: current belief, already the only state;
-		// no columns exist, so filters run row-wise.
-		st.Versions(func(v Version) bool {
-			if matchesFilters(filters, v.Data) {
-				out = append(out, v)
-			}
-			return true
-		})
-	}
-	return out, nil
-}
-
-// matchesFilters applies pre-filters row-wise for stores without columns.
-func matchesFilters(filters []*segment.Filter, t Tuple) bool {
-	for _, f := range filters {
-		if !f.Match(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// VersionsWhen returns the visible versions (in the sense of
-// VisibleVersions) whose valid period overlaps q, answered through the
-// store's valid-time paths — the interval-tree-indexed When for historical
-// relations, the transaction-filtered When for temporal ones. The second
-// result reports whether the store supports the pushed path; when false the
-// caller must fall back to filtering VisibleVersions itself. The TQuel
-// planner routes single-variable "v overlap E" when-conjuncts through here.
-// The returned slice is a private copy, safe to read from any number of
-// goroutines (see the type comment); the interval-tree stab itself runs
-// under DB.mu.RLock, and the tree is mutated only inside transactions,
-// which hold DB.mu.Lock.
-func (r *Relation) VersionsWhen(q temporal.Interval, asOf temporal.Chronon, hasAsOf bool) ([]Version, bool, error) {
-	return r.VersionsWhenFiltered(q, asOf, hasAsOf, nil)
-}
-
-// VersionsWhenFiltered is VersionsWhen with optional equality pre-filters
-// (built with EqFilter) evaluated on the columnar segments before any tuple
-// is materialized. Filters are an acceleration only: callers keep the
-// originating conjuncts and re-verify them on the returned versions, so a
-// filter can never change an answer — only shrink the set of versions
-// materialized. Stores without columnar segments (historical relations)
-// apply the filters row-wise, which is equally sound.
-func (r *Relation) VersionsWhenFiltered(q temporal.Interval, asOf temporal.Chronon, hasAsOf bool, filters []*segment.Filter) ([]Version, bool, error) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	st := r.rel.Store()
-	if hasAsOf && !st.Kind().SupportsRollback() {
-		return nil, false, ErrNoRollback
-	}
-	switch s := st.(type) {
-	case *core.HistoricalStore:
-		out := s.When(q)
-		if len(filters) > 0 {
-			kept := out[:0]
-			for _, v := range out {
-				ok := true
-				for _, f := range filters {
-					if !f.Match(v.Data) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					kept = append(kept, v)
-				}
-			}
-			out = kept
-		}
-		return out, true, nil
-	case *core.TemporalStore:
-		probe := temporal.Forever - 1
-		if hasAsOf {
-			probe = asOf
-		}
-		return s.WhenFiltered(q, probe, filters), true, nil
-	default:
-		return nil, false, nil
-	}
-}
-
 // EqFilter builds a columnar equality pre-filter on the named attribute for
-// use with VersionsWhenFiltered and VisibleVersionsFiltered. It returns
-// ok=false when the attribute is unknown or the probe value's kind does not
-// exactly match the attribute's declared kind — coercing comparisons stay
-// with the caller's evaluator.
+// use in a ScanSpec. It returns ok=false when the attribute is unknown or
+// the probe value's kind does not exactly match the attribute's declared
+// kind — coercing comparisons stay with the caller's evaluator.
 func (r *Relation) EqFilter(attr string, v Value) (*segment.Filter, bool) {
 	return r.CmpFilter(attr, segment.OpEq, v)
 }
@@ -362,27 +224,6 @@ func (r *Relation) CmpFilter(attr string, op segment.Op, v Value) (*segment.Filt
 		return nil, false
 	}
 	return segment.NewCmpFilter(sch, idx, op, v)
-}
-
-// VersionsDuring returns every version that belonged to some believed
-// database state during the transaction-time window [from, through]
-// (inclusive of both rollback instants) — TQuel's "as of E1 through E2".
-// Only rollback-capable kinds support it.
-func (r *Relation) VersionsDuring(from, through temporal.Chronon) ([]Version, error) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	window, err := temporal.MakeInterval(from, through.Next())
-	if err != nil {
-		return nil, fmt.Errorf("tdb: as-of window inverted: [%v, %v]", from, through)
-	}
-	switch s := r.rel.Store().(type) {
-	case *core.RollbackStore:
-		return s.During(window), nil
-	case *core.TemporalStore:
-		return s.During(window), nil
-	default:
-		return nil, ErrNoRollback
-	}
 }
 
 // CountAt returns the number of tuples valid at instant t according to

@@ -61,7 +61,11 @@ func TestVersionsDuring(t *testing.T) {
 	rel := loadFaculty(t, db)
 	// The window spanning Merrie's promotion recording (12/15/82) sees
 	// both her superseded and corrected versions.
-	vs, err := rel.VersionsDuring(d821210, d821220)
+	during := func(r *Relation, from, through temporal.Chronon) ([]Version, error) {
+		vs, _, err := r.Scan(ScanSpec{AsOf: from, HasAsOf: true, Through: through, HasThrough: true})
+		return vs, err
+	}
+	vs, err := during(rel, d821210, d821220)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +78,12 @@ func TestVersionsDuring(t *testing.T) {
 	if !ranks["associate"] || !ranks["full"] {
 		t.Fatalf("window versions = %v", vs)
 	}
-	// A point window equals VisibleVersions at that instant.
-	point, err := rel.VersionsDuring(d821210, d821210)
+	// A point window equals the visible versions at that instant.
+	point, err := during(rel, d821210, d821210)
 	if err != nil {
 		t.Fatal(err)
 	}
-	visible, err := rel.VisibleVersions(d821210, true)
+	visible, _, err := rel.Scan(ScanSpec{AsOf: d821210, HasAsOf: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +91,14 @@ func TestVersionsDuring(t *testing.T) {
 		t.Fatalf("point window %d versions, visible %d", len(point), len(visible))
 	}
 	// Inverted windows and unsupported kinds fail.
-	if _, err := rel.VersionsDuring(d821220, d821210); err == nil {
+	if _, err := during(rel, d821220, d821210); err == nil {
 		t.Error("inverted window must fail")
 	}
 	hist, err := db.CreateRelation("h", Historical, facultySchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hist.VersionsDuring(0, 100); !errors.Is(err, ErrNoRollback) {
+	if _, err := during(hist, 0, 100); !errors.Is(err, ErrNoRollback) {
 		t.Errorf("window on historical: %v", err)
 	}
 }

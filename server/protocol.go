@@ -155,9 +155,11 @@ type Response struct {
 	// Code classifies structured failures ("busy", "version", "malformed",
 	// "readonly"); empty for execution errors and successes.
 	Code string `json:"code,omitempty"`
-	// Commit is the serving database's latest commit chronon at response
-	// time (1.1+). Replica-aware clients compare it against the highest
-	// commit they have seen to bound read staleness.
+	// Commit is the serving database's latest commit chronon (1.1+): at
+	// response time on a primary, at request start on a follower, so a
+	// replica's answer reflects at least that commit. Replica-aware clients
+	// compare it against the highest commit they have seen to bound read
+	// staleness.
 	Commit int64 `json:"commit,omitempty"`
 }
 

@@ -17,6 +17,7 @@ import (
 	"tdb/internal/command"
 	"tdb/internal/obs"
 	"tdb/internal/repl"
+	"tdb/temporal"
 	"tdb/tquel"
 )
 
@@ -267,6 +268,14 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		start := time.Now()
+		// A follower's answer reflects at least the state applied before
+		// it ran: stamped afterwards, a record applied meanwhile would
+		// vouch for an answer that missed it. A primary stamps afterwards
+		// so a write's response carries its own commit.
+		var followerStamp temporal.Chronon
+		if s.db.IsReadOnly() {
+			followerStamp = s.db.LastCommit()
+		}
 		var req Request
 		resp := Response{}
 		if err := json.Unmarshal(line, &req); err != nil {
@@ -326,7 +335,11 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 		resp.V = ProtoVersion
-		resp.Commit = int64(s.db.LastCommit())
+		if s.db.IsReadOnly() {
+			resp.Commit = int64(followerStamp)
+		} else {
+			resp.Commit = int64(s.db.LastCommit())
+		}
 		out, err := encodeLine(resp)
 		if err != nil {
 			s.logger.Printf("encoding response: %v", err)

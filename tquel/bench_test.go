@@ -1,6 +1,7 @@
 package tquel
 
 import (
+	"fmt"
 	"testing"
 
 	"tdb"
@@ -425,5 +426,57 @@ func BenchmarkCoalesce(b *testing.B) {
 		if _, err := ses.Query(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKeyedOps measures key-addressed statements — an as-of read, a
+// current read and a valid-period replace, each naming one key, together
+// one iteration — through Session.Exec on a keyed temporal relation of 10k
+// and 100k versions. The key path answers each from the key's own
+// versions, so the per-iteration cost stays flat as history grows.
+func BenchmarkKeyedOps(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			clock := temporal.NewLogicalClock(temporal.Date(1980, 1, 1))
+			db, err := tdb.Open("", tdb.Options{Clock: clock})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			ses := NewSession(db)
+			if _, err := ses.Exec(`create temporal relation gen (k = int, v = int) key (k)
+				range of g is gen`); err != nil {
+				b.Fatal(err)
+			}
+			// Bulk load commits in seal-sized chunks, so the history lies in
+			// bounded segments whose key bloom filters prune as-of reads.
+			rel, err := db.Relation("gen")
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := make([]tdb.LoadRow, n)
+			for i := range rows {
+				rows[i] = tdb.LoadRow{Data: tdb.NewTuple(tdb.Int(int64(i)), tdb.Int(0)),
+					From: temporal.Date(1980, 1, 1), To: temporal.Forever}
+			}
+			if _, err := rel.Load(rows); err != nil {
+				b.Fatal(err)
+			}
+			clock.Set(temporal.Date(1981, 1, 1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i * 7919 % n
+				for _, src := range []string{
+					fmt.Sprintf(`retrieve (g.v) where g.k = %d as of "06/01/80"`, k),
+					fmt.Sprintf(`retrieve (g.v) where g.k = %d`, k),
+					fmt.Sprintf(`replace g (v = %d) where g.k = %d valid from "01/01/82" to "01/01/83"`, i+1, k),
+				} {
+					if _, err := ses.Exec(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -210,6 +210,11 @@ func (s *Session) execRetrieveCached(n *RetrieveStmt) (*Outcome, error) {
 		key := keys.ver
 		if keys.imm != "" && transClosed(out.Result) {
 			key = keys.imm
+		} else if s.lastPlan != nil && s.lastPlan.keyLookups > 0 {
+			// A key-path answer costs about what a hit's Clone does, and a
+			// versioned entry goes dead at the relation's next write: not
+			// worth the cache space it would hold until evicted.
+			return out, nil
 		}
 		stored := out.Result.Clone()
 		qc.Put(key, stored, stored.approxBytes()+int64(len(key)))

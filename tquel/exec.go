@@ -28,7 +28,9 @@ type Session struct {
 	// when positive (TDB_PARALLEL_MIN_COST).
 	parallelMinCost float64
 
-	lastPlan *queryPlan // most recent compiled retrieve, for tests and explain
+	// lastPlan is the most recent compiled retrieve (nil after a
+	// planner-off one), for tests, explain and the cache admission rule.
+	lastPlan *queryPlan
 }
 
 // NewSession opens a session on the database. The "now" spelling in
@@ -270,6 +272,7 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 	var returned int64
 	var execSp obs.Span
 	var pl *queryPlan
+	s.lastPlan = nil
 	defer func() {
 		if pl != nil {
 			mConjunctsPushed.Add(uint64(pl.pushed))
@@ -277,6 +280,7 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 			mHashJoinBuildRows.Add(uint64(pl.buildRows))
 			mJoinFallbacks.Add(uint64(pl.fallbacks))
 			mProbeSkips.Add(uint64(pl.overlapSkips))
+			mKeyLookups.Add(uint64(pl.keyLookups))
 		}
 		mRowsScanned.Add(uint64(tally.scanned))
 		mRowsReturned.Add(uint64(returned))
@@ -446,13 +450,7 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 		// run the naive nested-loop product, all predicates innermost.
 		versions := make([][]tdb.Version, len(order))
 		for i, rel := range rels {
-			var vs []tdb.Version
-			var err error
-			if hasThrough {
-				vs, err = rel.VersionsDuring(asOf, through)
-			} else {
-				vs, err = rel.VisibleVersions(asOf, hasAsOf)
-			}
+			vs, _, err := rel.Scan(tdb.ScanSpec{AsOf: asOf, HasAsOf: hasAsOf, Through: through, HasThrough: hasThrough})
 			if err != nil {
 				return nil, errf(n.Pos, "%s: %v", rel.Name(), err)
 			}
@@ -793,16 +791,25 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 	return &Outcome{Stmt: "append", Msg: fmt.Sprintf("appended to %s", n.Rel)}, nil
 }
 
-// matchVersions binds the variable to each visible version and collects
-// those passing the where/when clauses.
-func (s *Session) matchVersions(pos Pos, v string, where Expr, when TemporalExpr, ev *env) (*tdb.Relation, []tdb.Version, error) {
-	rel, err := s.resolveVar(pos, v)
-	if err != nil {
-		return nil, nil, err
+// matchVersions binds the variable to each current version of the
+// relation and collects, in commit order, those passing the where/when
+// clauses. It reads through the transaction's handle, so the match and the
+// mutations it feeds commit atomically: two sessions updating one key
+// cannot both match the same version. With the planner on, where
+// conjuncts covering the declared key fetch only that key's versions; the
+// clauses are still evaluated on every candidate.
+func (s *Session) matchVersions(h *tdb.TxRel, v string, where Expr, when TemporalExpr, ev *env) ([]tdb.Version, error) {
+	rel := h.Relation()
+	var spec tdb.ScanSpec
+	if !s.noPlanner && where != nil {
+		spec.Key = keyPushdown(splitAnd(where, nil), v, rel, ev)
 	}
-	versions, err := rel.VisibleVersions(0, false)
+	versions, access, err := h.Scan(spec)
 	if err != nil {
-		return nil, nil, errf(pos, "%v", err)
+		return nil, err
+	}
+	if access == tdb.AccessKey {
+		mKeyLookups.Inc()
 	}
 	var out []tdb.Version
 	for _, ver := range versions {
@@ -810,7 +817,7 @@ func (s *Session) matchVersions(pos Pos, v string, where Expr, when TemporalExpr
 		if where != nil {
 			ok, err := evalPred(where, ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !ok {
 				continue
@@ -819,7 +826,7 @@ func (s *Session) matchVersions(pos Pos, v string, where Expr, when TemporalExpr
 		if when != nil {
 			ok, err := evalTemporalPred(when, ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !ok {
 				continue
@@ -828,26 +835,38 @@ func (s *Session) matchVersions(pos Pos, v string, where Expr, when TemporalExpr
 		out = append(out, ver)
 	}
 	delete(ev.vars, v)
-	return rel, out, nil
+	return out, nil
 }
 
-func (s *Session) execDelete(n *DeleteStmt) (*Outcome, error) {
-	count := 0
-	// Match against the current belief before opening the transaction:
-	// Update holds the database lock, and matching reads through the
-	// public (locking) query paths. The session serializes its own
-	// statements, so the snapshot cannot go stale between match and apply.
-	ev := &env{vars: map[string]*binding{}, now: s.now()}
-	rel, matches, err := s.matchVersions(n.Pos, n.Var, n.Where, n.When, ev)
+// updateMatches runs fn in one transaction with the versions of the
+// statement's variable that the where/when clauses match. The match is
+// evaluated with the session clock as "now"; fn's env carries the commit
+// chronon instead, which is what update statements stamp.
+func (s *Session) updateMatches(pos Pos, v string, where Expr, when TemporalExpr,
+	fn func(h *tdb.TxRel, matches []tdb.Version, ev *env) error) error {
+	rel, err := s.resolveVar(pos, v)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	err = s.db.Update(func(tx *tdb.Tx) error {
-		ev.now = tx.At()
+	return s.db.Update(func(tx *tdb.Tx) error {
 		h, err := tx.Rel(rel.Name())
 		if err != nil {
 			return err
 		}
+		ev := &env{vars: map[string]*binding{}, now: s.now()}
+		matches, err := s.matchVersions(h, v, where, when, ev)
+		if err != nil {
+			return err
+		}
+		ev.now = tx.At()
+		return fn(h, matches, ev)
+	})
+}
+
+func (s *Session) execDelete(n *DeleteStmt) (*Outcome, error) {
+	count := 0
+	err := s.updateMatches(n.Pos, n.Var, n.Where, n.When, func(h *tdb.TxRel, matches []tdb.Version, ev *env) error {
+		rel := h.Relation()
 		sch := rel.Schema()
 		seenKeys := map[string]bool{}
 		for _, ver := range matches {
@@ -893,18 +912,8 @@ func (s *Session) execDelete(n *DeleteStmt) (*Outcome, error) {
 
 func (s *Session) execReplace(n *ReplaceStmt) (*Outcome, error) {
 	count := 0
-	// Match before the transaction for the same locking reason as delete.
-	ev := &env{vars: map[string]*binding{}, now: s.now()}
-	rel, matches, err := s.matchVersions(n.Pos, n.Var, n.Where, n.When, ev)
-	if err != nil {
-		return nil, err
-	}
-	err = s.db.Update(func(tx *tdb.Tx) error {
-		ev.now = tx.At()
-		h, err := tx.Rel(rel.Name())
-		if err != nil {
-			return err
-		}
+	err := s.updateMatches(n.Pos, n.Var, n.Where, n.When, func(h *tdb.TxRel, matches []tdb.Version, ev *env) error {
+		rel := h.Relation()
 		sch := rel.Schema()
 		for _, ver := range matches {
 			// Sets may reference the variable (rank = f.rank): bind it.
@@ -940,6 +949,7 @@ func (s *Session) execReplace(n *ReplaceStmt) (*Outcome, error) {
 					if n.Valid.At == nil {
 						return errf(n.Valid.Pos, "event relations need 'valid at'")
 					}
+					var err error
 					if at, err = evalEvent(n.Valid.At, ev); err != nil {
 						return err
 					}

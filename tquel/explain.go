@@ -102,10 +102,15 @@ func renderPlan(s *Session, pl *queryPlan, agg *aggregator) string {
 				pv.name, pv.rel.Schema().Attr(j.buildIdx).Name)
 		case d > 0:
 			b.WriteString(", nested loop")
+		case pv.access == tdb.AccessKey:
+			b.WriteString(", key lookup")
 		default:
 			b.WriteString(", scan")
 		}
-		if pv.whenIndexed {
+		switch {
+		case pv.access == tdb.AccessKey && d > 0:
+			b.WriteString(", key lookup")
+		case pv.access == tdb.AccessWhen:
 			b.WriteString(", interval-indexed")
 		}
 		if pv.probeSkipped {

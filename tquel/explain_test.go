@@ -47,9 +47,24 @@ func TestExplainCorpus(t *testing.T) {
 		{
 			`explain retrieve (s.tag, b.tag) where s.k = b.k and s.k = 0`,
 			`plan (statistics on)
-  1. s (small): 1 candidate(s), scan, est out 1
+  1. s (small): 1 candidate(s), key lookup, est out 1
   2. b (big): 12 candidate(s), hash probe on s.k = b.k, 1 residual where, est out 1
   est work 3, est rows 1, parallel cutoff 4096
+  dispatch: serial`,
+		},
+		{
+			`explain retrieve (s.tag, b.tag) where s.k = 0 and b.k = 0 and s.tag != b.tag`,
+			`plan (statistics on)
+  1. s (small): 1 candidate(s), key lookup, est out 1
+  2. b (big): 1 candidate(s), nested loop, key lookup, 1 residual where, est out 1
+  est work 2, est rows 1, parallel cutoff 4096
+  dispatch: serial`,
+		},
+		{
+			`explain retrieve (b.tag) where b.k = 3 when b overlap "06/01/80"`,
+			`plan (statistics on)
+  1. b (big): 0 candidate(s), key lookup, est out 0
+  est work 0, est rows 0, parallel cutoff 4096
   dispatch: serial`,
 		},
 	} {

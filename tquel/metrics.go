@@ -39,6 +39,8 @@ var (
 		"Candidate bindings examined at inner join depths (depth >= 1).")
 	mProbeSkips = obs.Default.Counter("tdb_query_overlap_probe_skips_total",
 		"Interval-index probes the planner skipped because statistics estimated the overlap window unselective (scan-and-filter chosen instead).")
+	mKeyLookups = obs.Default.Counter("tdb_query_key_lookups_total",
+		"Range-variable fetches (retrieve candidates, replace/delete matches) answered through the key path because where conjuncts bound the declared key.")
 
 	// Parallel execution counters (see docs/planner.md, "Parallel
 	// execution"). Both stay zero for serial sessions (SetParallelism <= 1)

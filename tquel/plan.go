@@ -22,9 +22,13 @@ import (
 //     before the join loop starts), and residual multi-variable conjuncts
 //     (parked at the shallowest binding depth where every variable they
 //     mention is bound). The when AND-tree is split the same way.
-//  2. when pushdown: a single-variable "v overlap E" conjunct whose other
-//     side is variable-free is answered through the store's interval-indexed
-//     When path (Relation.VersionsWhen) instead of scan-then-filter.
+//  2. fetch: each variable's candidates come from one Relation.Scan. When
+//     single-variable "v.a = E" conjuncts (E variable-free) bind every
+//     attribute of the declared key, the spec carries the key and the
+//     store answers from its key structures (see keyPushdown). Otherwise a
+//     single-variable "v overlap E" conjunct whose other side is
+//     variable-free is answered through the store's valid-time When path
+//     instead of scan-then-filter.
 //  3. join ordering: with statistics (the default, "cost-based planning
 //     v2") a greedy left-deep order minimizes estimated intermediate
 //     cardinality — each step binds the variable with the smallest
@@ -64,6 +68,7 @@ type queryPlan struct {
 	// merge, by the executor (see execRetrieve's settle).
 	pushed      int64 // single-variable conjuncts applied during prefiltering
 	whenIndexed int64 // when conjuncts answered through an interval index
+	keyLookups  int64 // variables whose candidates came through the key path
 	buildRows   int64 // rows hashed into equi-join build tables
 	fallbacks   int64 // inner variables joined by nested loop, not hash probe
 	prefiltered int64 // bindings examined while prefiltering candidate lists
@@ -101,9 +106,9 @@ type planVar struct {
 	when  []TemporalExpr
 
 	// Explain annotations.
-	estOut       float64 // estimated cumulative bindings after this depth
-	whenIndexed  bool    // candidates came through the interval index
-	probeSkipped bool    // statistics advised against the interval-index probe
+	estOut       float64    // estimated cumulative bindings after this depth
+	access       tdb.Access // the path the candidates were fetched through
+	probeSkipped bool       // statistics advised against the interval-index probe
 }
 
 // equiEdge is one "v1.a = v2.b" conjunct, pre-resolved: the ordering cost
@@ -257,6 +262,57 @@ func columnFilters(conjs []Expr, v string, rel *tdb.Relation, ev *env) ([]*segme
 		}
 	}
 	return out, nil
+}
+
+// keyPushdown returns the key tuple bound by "v.a = E" conjuncts (either
+// operand order, E variable-free) when they cover every attribute of rel's
+// declared key, or nil. Each value must evaluate to exactly its attribute's
+// kind, so that key equality is the comparison's equality: a coerced
+// comparison (an instant against a date string) stays a scan. Float keys
+// are never pushed, because -0 and +0 (and NaN payloads) compare equal but
+// hash apart. The conjuncts stay in the caller's prefilter list and are
+// re-verified on the returned rows.
+func keyPushdown(conjs []Expr, v string, rel *tdb.Relation, ev *env) tdb.Tuple {
+	sch := rel.Schema()
+	if !sch.HasExplicitKey() {
+		return nil
+	}
+	keyIdx := sch.KeyIndices()
+	for _, ki := range keyIdx {
+		if sch.Attr(ki).Type == value.Float {
+			return nil
+		}
+	}
+	key := make(tdb.Tuple, len(keyIdx))
+	bound := 0
+	for _, e := range conjs {
+		cmp, ok := e.(*Cmp)
+		if !ok || cmp.Op != "=" {
+			continue
+		}
+		ar, other := cmp.L, cmp.R
+		if _, ok := ar.(*AttrRef); !ok {
+			ar, other = other, ar
+		}
+		ref, ok := ar.(*AttrRef)
+		if !ok || ref.Var != v || len(exprVarList(other)) != 0 {
+			continue
+		}
+		idx := sch.Index(ref.Attr)
+		for p, ki := range keyIdx {
+			if ki != idx || key[p].Kind() != value.Invalid {
+				continue
+			}
+			if val, err := evalExpr(other, ev); err == nil && val.Kind() == sch.Attr(ki).Type {
+				key[p] = val
+				bound++
+			}
+		}
+	}
+	if bound < len(keyIdx) {
+		return nil
+	}
+	return key
 }
 
 // equiJoinSides recognizes "v1.a = v2.b" with distinct variables.
@@ -501,26 +557,29 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 		rel := rels[i]
 		tfilters := perVarWhen[v]
 
-		var base []tdb.Version
-		var err error
-		var colf []*segment.Filter
-		fetched := false
-		whenIdx, probeSkipped := false, false
+		// Key pushdown: "v.a = <const>" conjuncts covering the declared key
+		// fetch the key's versions alone. The key path takes precedence
+		// over the when pushdown; when conjuncts then run row-wise on the
+		// few candidates.
+		spec := tdb.ScanSpec{AsOf: asOf, HasAsOf: hasAsOf, Through: through, HasThrough: hasThrough,
+			Key: keyPushdown(perVarWhere[v], v, rel, ev)}
+		whenAt, probeSkipped := -1, false
 		if !hasThrough {
 			// Columnar pre-filters: single-variable comparison conjuncts the
 			// segment scan can evaluate on columns before materializing.
-			colf, err = columnFilters(perVarWhere[v], v, rel, ev)
+			colf, err := columnFilters(perVarWhere[v], v, rel, ev)
 			if err != nil {
 				return nil, err
 			}
+			spec.Filters = colf
 			// When pushdown: answer one "v overlap <const>" conjunct
-			// through the store's valid-time interval index.
+			// through the store's valid-time path.
 			for fi, te := range tfilters {
 				q, ok, perr := overlapPushdown(te, v, ev)
 				if perr != nil {
 					return nil, perr
 				}
-				if !ok {
+				if !ok || spec.Key != nil || !rel.Kind().SupportsHistorical() {
 					continue
 				}
 				if statsOn {
@@ -535,31 +594,21 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 						continue
 					}
 				}
-				vs, indexed, werr := rel.VersionsWhenFiltered(q, asOf, hasAsOf, colf)
-				if werr != nil {
-					return nil, errf(n.Pos, "%s: %v", rel.Name(), werr)
-				}
-				if indexed {
-					base, fetched, whenIdx = vs, true, true
-					tfilters = append(append([]TemporalExpr(nil), tfilters[:fi]...), tfilters[fi+1:]...)
-					pl.whenIndexed++
-					pl.pushed++
-					break
-				}
+				spec.When, spec.HasWhen, whenAt = q, true, fi
+				break
 			}
 		}
-		if !fetched {
-			if hasThrough {
-				base, err = rel.VersionsDuring(asOf, through)
-			} else {
-				// The plain visible-state fetch takes the same columnar
-				// pre-filters: the as-of scan (or interval-index probe)
-				// checks them before materializing each version.
-				base, err = rel.VisibleVersionsFiltered(asOf, hasAsOf, colf)
-			}
-			if err != nil {
-				return nil, errf(n.Pos, "%s: %v", rel.Name(), err)
-			}
+		base, access, err := rel.Scan(spec)
+		if err != nil {
+			return nil, errf(n.Pos, "%s: %v", rel.Name(), err)
+		}
+		switch access {
+		case tdb.AccessWhen:
+			tfilters = append(append([]TemporalExpr(nil), tfilters[:whenAt]...), tfilters[whenAt+1:]...)
+			pl.whenIndexed++
+			pl.pushed++
+		case tdb.AccessKey:
+			pl.keyLookups++
 		}
 
 		filters := perVarWhere[v]
@@ -600,7 +649,7 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 			pl.pushed += int64(len(filters) + len(tfilters))
 		}
 		pl.vars[i] = planVar{name: v, orig: i, rel: rel, versions: base,
-			whenIndexed: whenIdx, probeSkipped: probeSkipped}
+			access: access, probeSkipped: probeSkipped}
 	}
 
 	// Resolve every equi-join edge once; the ordering cost model and the

@@ -45,6 +45,11 @@ type TxRel struct {
 // Name returns the relation name.
 func (r *TxRel) Name() string { return r.rel.Name() }
 
+// Relation returns the non-transactional handle to the same relation. Its
+// locking read methods must not be called inside the transaction (the
+// transaction holds the write lock); use TxRel.Scan there.
+func (r *TxRel) Relation() *Relation { return &Relation{db: r.tx.db, rel: r.rel} }
+
 // bump records a successful mutation in the relation's write-version
 // counter, the query cache's invalidation signal. Called on WAL replay too
 // (replay re-enters these methods), so recovered databases resume counting

@@ -19,9 +19,9 @@ func versionSet(vs []Version) []string {
 	return out
 }
 
-// VersionsWhen must return exactly the VisibleVersions whose valid period
-// overlaps the query window — it is the indexed route to the same set, and
-// the TQuel planner relies on that equivalence.
+// Scan's when path must return exactly the visible versions whose valid
+// period overlaps the query window — it is the indexed route to the same
+// set, and the TQuel planner relies on that equivalence.
 func TestVersionsWhenMatchesVisibleVersions(t *testing.T) {
 	db := memDB(t)
 	loadFaculty(t, db)
@@ -66,14 +66,14 @@ func TestVersionsWhenMatchesVisibleVersions(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, q := range windows {
-			got, indexed, err := c.rel.VersionsWhen(q, c.asOf, c.hasAsOf)
+			got, access, err := c.rel.Scan(ScanSpec{AsOf: c.asOf, HasAsOf: c.hasAsOf, When: q, HasWhen: true})
 			if err != nil {
 				t.Fatalf("%s %v: %v", c.nickname, q, err)
 			}
-			if !indexed {
+			if access != AccessWhen {
 				t.Fatalf("%s must support the pushed when path", c.nickname)
 			}
-			all, err := c.rel.VisibleVersions(c.asOf, c.hasAsOf)
+			all, _, err := c.rel.Scan(ScanSpec{AsOf: c.asOf, HasAsOf: c.hasAsOf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,14 +102,14 @@ func TestVersionsWhenUnsupportedKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, indexed, err := st.VersionsWhen(temporal.All, 0, false); err != nil || indexed {
-		t.Errorf("static: indexed=%v err=%v, want unindexed fallback", indexed, err)
+	if _, access, err := st.Scan(ScanSpec{When: temporal.All, HasWhen: true}); err != nil || access == AccessWhen {
+		t.Errorf("static: access=%v err=%v, want unindexed fallback", access, err)
 	}
 	hist, err := db.CreateRelation("h", Historical, facultySchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := hist.VersionsWhen(temporal.All, d821210, true); !errors.Is(err, ErrNoRollback) {
+	if _, _, err := hist.Scan(ScanSpec{AsOf: d821210, HasAsOf: true, When: temporal.All, HasWhen: true}); !errors.Is(err, ErrNoRollback) {
 		t.Errorf("historical as-of: err = %v, want ErrNoRollback", err)
 	}
 }
