@@ -19,6 +19,7 @@ func TestIngestSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingest soak skipped in -short mode")
 	}
+	t.Setenv("TDB_DISABLE_SEGMENTS", "") // force segments on even in the ablation CI job
 	pPath := filepath.Join(t.TempDir(), "tdb.wal")
 	primary, err := Open(pPath, Options{
 		Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),

@@ -95,6 +95,7 @@ func TestRegistryAndSnapshot(t *testing.T) {
 	}
 
 	t.Setenv(EnvSegmentRows, "128")
+	t.Setenv(EnvCacheBytes, "") // unset even in the no-cache CI job
 	snap := Snapshot()
 	if snap[EnvSegmentRows] != "128" {
 		t.Errorf("Snapshot shows env value: got %q", snap[EnvSegmentRows])

@@ -109,6 +109,59 @@ func (v Version) String() string {
 	return fmt.Sprintf("%v valid=%v trans=%v", v.Data, v.Valid, v.Trans)
 }
 
+// Coalesce merges value-equivalent versions whose valid periods overlap or
+// meet: the taxonomy's coalescing operation, lifted from interval sets
+// (temporal.Coalesce) to stamped tuples. Versions are value-equivalent when
+// their data are exactly equal (tuple.ExactKey). A merged version's valid
+// period extends its contributors', and so does its transaction period.
+// Nothing is dropped: every input version's valid chronons stay covered by
+// an output version with the same data. The pass is idempotent and
+// order-invariant — each group is swept in stamp order — and reuses vs's
+// backing array. Callers leave event relations alone: instants don't merge.
+func Coalesce(vs []Version) []Version {
+	if len(vs) <= 1 {
+		return vs
+	}
+	groups := map[string][]Version{}
+	var order []string
+	for _, v := range vs {
+		k := v.Data.ExactKey()
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], v)
+	}
+	out := vs[:0]
+	for _, k := range order {
+		g := groups[k]
+		sort.Slice(g, func(i, j int) bool {
+			a, b := g[i], g[j]
+			if a.Valid.From != b.Valid.From {
+				return a.Valid.From < b.Valid.From
+			}
+			if a.Valid.To != b.Valid.To {
+				return a.Valid.To < b.Valid.To
+			}
+			if a.Trans.From != b.Trans.From {
+				return a.Trans.From < b.Trans.From
+			}
+			return a.Trans.To < b.Trans.To
+		})
+		cur := g[0]
+		for _, v := range g[1:] {
+			if v.Valid.From <= cur.Valid.To {
+				cur.Valid = cur.Valid.Extend(v.Valid)
+				cur.Trans = cur.Trans.Extend(v.Trans)
+				continue
+			}
+			out = append(out, cur)
+			cur = v
+		}
+		out = append(out, cur)
+	}
+	return out
+}
+
 // Store is the interface common to all four kinds, sufficient for the
 // taxonomy prober and the figure renderer. Mutation methods differ per kind
 // (their signatures embody the taxonomy: only valid-time stores take valid

@@ -113,6 +113,15 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
+// ExactKey returns an unambiguous grouping key for the tuple: its
+// kind-tagged, length-prefixed binary encoding. Two tuples share a key
+// exactly when they agree kind for kind and bit for bit, whatever their
+// strings contain — unlike any key built from the display rendering.
+func (t Tuple) ExactKey() string {
+	var buf [64]byte // most keys fit: the string copy is then the only allocation
+	return string(t.AppendBinary(buf[:0]))
+}
+
 // AppendBinary appends the encoded tuple (arity-prefixed) to dst.
 func (t Tuple) AppendBinary(dst []byte) []byte {
 	dst = append(dst, byte(len(t)), byte(len(t)>>8))

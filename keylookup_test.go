@@ -109,7 +109,8 @@ func TestKeyLookupNonKeyAttr(t *testing.T) {
 	}
 }
 
-// WhereEq combined with AsOf must take the scan path and stay correct.
+// WhereEq combined with AsOf reads through Scan's as-of key path and must
+// return the version believed at that instant.
 func TestKeyLookupWithAsOf(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)

@@ -85,6 +85,7 @@ func TestLoadMatchesRowAtATime(t *testing.T) {
 // A full-chunk load on an append-only relation seals straight into
 // columnar segments: the tail never holds more than one chunk.
 func TestLoadSealsSegmentsDirectly(t *testing.T) {
+	t.Setenv("TDB_DISABLE_SEGMENTS", "") // force segments on even in the ablation CI job
 	t.Setenv("TDB_SEGMENT_ROWS", "32")
 	t.Setenv("TDB_LOAD_CHUNK", "32")
 	db, err := Open("", Options{Clock: temporal.NewLogicalClock(0)})

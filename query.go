@@ -2,9 +2,12 @@ package tdb
 
 import (
 	"fmt"
+	"sort"
 
-	"tdb/internal/algebra"
+	"tdb/internal/core"
 	"tdb/internal/pretty"
+	"tdb/internal/schema"
+	"tdb/internal/tuple"
 	"tdb/temporal"
 )
 
@@ -18,16 +21,13 @@ import (
 //   - Where(pred): ordinary attribute predicate
 //   - Coalesce(): merge value-equivalent versions over adjacent periods
 //
-// Run materializes the result; results are themselves relations and can be
-// joined with Join.
+// Run reads the relation through one Relation.Scan and materializes the
+// result; results are themselves relations and can be joined with Join.
 type Query struct {
 	rel      *Relation
 	asOf     temporal.Chronon
 	hasAsOf  bool
-	when     temporal.Interval
-	hasWhen  bool
-	at       temporal.Chronon
-	hasAt    bool
+	when     []temporal.Interval // When/At windows; multiple conjoin
 	where    []func(Tuple) (bool, error)
 	eq       map[string]Value // attribute -> value, from WhereEq
 	coalesce bool
@@ -44,15 +44,12 @@ func (q *Query) AsOf(t temporal.Chronon) *Query {
 
 // When keeps versions whose valid period overlaps iv.
 func (q *Query) When(iv temporal.Interval) *Query {
-	q.when, q.hasWhen = iv, true
+	q.when = append(q.when, iv)
 	return q
 }
 
 // At keeps versions valid at instant t.
-func (q *Query) At(t temporal.Chronon) *Query {
-	q.at, q.hasAt = t, true
-	return q
-}
+func (q *Query) At(t temporal.Chronon) *Query { return q.When(temporal.At(t)) }
 
 // Where adds an attribute predicate; multiple predicates conjoin.
 func (q *Query) Where(pred func(Tuple) (bool, error)) *Query {
@@ -61,8 +58,8 @@ func (q *Query) Where(pred func(Tuple) (bool, error)) *Query {
 }
 
 // WhereEq adds an equality predicate on the named attribute. When the
-// equality predicates cover the relation's key, Run answers through the
-// key index instead of scanning (see BenchmarkKeyLookupVsScan).
+// equality predicates cover the relation's key, Run reads through Scan's
+// key path instead of the whole relation (see BenchmarkKeyLookupVsScan).
 func (q *Query) WhereEq(attr string, v Value) *Query {
 	if q.eq == nil {
 		q.eq = make(map[string]Value)
@@ -73,38 +70,29 @@ func (q *Query) WhereEq(attr string, v Value) *Query {
 		if idx < 0 {
 			return false, fmt.Errorf("tdb: no attribute %q in %s", attr, q.rel.Name())
 		}
-		c, err := compareValues(t[idx], v)
+		c, err := valueCompare(t[idx], v)
 		return err == nil && c == 0, err
 	})
 }
 
-// keyLookup attempts the key-index fast path: when the WhereEq predicates
-// cover every key attribute and no rollback instant is requested, the
-// matching versions come straight from the key index. Returns nil, false
-// when the fast path does not apply (Run then falls back to a scan).
-func (q *Query) keyLookup() (*algebra.Relation, bool) {
+// key returns the ScanSpec key the WhereEq predicates pin down, or nil when
+// they do not cover every key attribute with a value of its declared kind
+// (a mismatched kind is left to the predicate, which reports it).
+func (q *Query) key() Tuple {
 	sch := q.rel.Schema()
-	if q.hasAsOf || !sch.HasExplicitKey() || len(q.eq) == 0 {
-		return nil, false
+	if !sch.HasExplicitKey() || len(q.eq) == 0 {
+		return nil
 	}
-	keyIdx := sch.KeyIndices()
-	keyVals := make([]Value, 0, len(keyIdx))
-	for _, ki := range keyIdx {
-		v, ok := q.eq[sch.Attr(ki).Name]
-		if !ok {
-			return nil, false
+	var key Tuple
+	for _, ki := range sch.KeyIndices() {
+		a := sch.Attr(ki)
+		v, ok := q.eq[a.Name]
+		if !ok || v.Kind() != a.Type {
+			return nil
 		}
-		keyVals = append(keyVals, v)
+		key = append(key, v)
 	}
-	vs, _, err := scanRel(q.rel.rel, ScanSpec{Key: NewTuple(keyVals...)})
-	if err != nil {
-		return nil, false
-	}
-	rel := &algebra.Relation{Schema: sch, Event: q.rel.Event()}
-	for _, v := range vs {
-		rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
-	}
-	return rel, true
+	return key
 }
 
 // Coalesce merges value-equivalent versions over overlapping or adjacent
@@ -122,106 +110,156 @@ func (q *Query) Run() (*Result, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	st := q.rel.rel.Store()
-	if q.hasAsOf && !st.Kind().SupportsRollback() {
-		return nil, fmt.Errorf("%w: %s is %s", ErrNoRollback, q.rel.Name(), st.Kind())
+	kind := q.rel.Kind()
+	if q.hasAsOf && !kind.SupportsRollback() {
+		return nil, fmt.Errorf("%w: %s is %s", ErrNoRollback, q.rel.Name(), kind)
 	}
-	if (q.hasWhen || q.hasAt) && !st.Kind().SupportsHistorical() {
-		return nil, fmt.Errorf("%w: %s is %s", ErrNoValidTime, q.rel.Name(), st.Kind())
+	if len(q.when) > 0 && !kind.SupportsHistorical() {
+		return nil, fmt.Errorf("%w: %s is %s", ErrNoValidTime, q.rel.Name(), kind)
 	}
-	rel, fast := q.keyLookup()
-	if !fast {
-		var err error
-		rel, err = algebra.Scan(st, q.asOf, q.hasAsOf)
-		if err != nil {
-			return nil, err
+	spec := ScanSpec{AsOf: q.asOf, HasAsOf: q.hasAsOf, Key: q.key()}
+	var extra []temporal.Interval // windows beyond the one Scan applies
+	if len(q.when) > 0 {
+		spec.When, spec.HasWhen, extra = q.when[0], true, q.when[1:]
+	}
+	vs, _, err := scanRel(q.rel.rel, spec)
+	if err != nil {
+		return nil, err
+	}
+	rows := vs[:0]
+next:
+	for _, v := range vs {
+		for _, iv := range extra {
+			if !v.Valid.Overlaps(iv) {
+				continue next
+			}
 		}
-	}
-	var err error
-	if q.hasWhen {
-		rel = algebra.When(rel, q.when)
-	}
-	if q.hasAt {
-		rel = algebra.TimeSlice(rel, q.at)
-	}
-	for _, pred := range q.where {
-		rel, err = algebra.Select(rel, func(row algebra.Row) (bool, error) {
-			return pred(row.Data)
-		})
-		if err != nil {
-			return nil, err
+		for _, pred := range q.where {
+			ok, err := pred(v.Data)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue next
+			}
 		}
+		rows = append(rows, v)
 	}
+	res := &Result{schema: q.rel.Schema(), event: q.rel.Event(), rows: rows}
 	if q.coalesce {
-		rel = algebra.Coalesce(rel)
+		return res.Coalesce(), nil
 	}
-	algebra.SortRows(rel)
-	return &Result{rel: rel}, nil
+	res.sort()
+	return res, nil
 }
 
 // Result is a materialized derived relation. It is itself a relation: it
 // can be inspected row by row, rendered as a table, or joined with another
 // result.
 type Result struct {
-	rel *algebra.Relation
+	schema *Schema
+	event  bool
+	rows   []Version
 }
 
 // Len returns the number of rows.
-func (r *Result) Len() int { return len(r.rel.Rows) }
+func (r *Result) Len() int { return len(r.rows) }
 
 // Schema returns the result schema.
-func (r *Result) Schema() *Schema { return r.rel.Schema }
+func (r *Result) Schema() *Schema { return r.schema }
 
 // Row returns the i-th row's data and valid period.
 func (r *Result) Row(i int) (Tuple, temporal.Interval) {
-	row := r.rel.Rows[i]
-	return row.Data, row.Valid
+	return r.rows[i].Data, r.rows[i].Valid
 }
 
 // Tuples returns the data of every row.
 func (r *Result) Tuples() []Tuple {
-	out := make([]Tuple, len(r.rel.Rows))
-	for i, row := range r.rel.Rows {
+	out := make([]Tuple, len(r.rows))
+	for i, row := range r.rows {
 		out[i] = row.Data
 	}
 	return out
 }
 
-// Project returns the result restricted to the named attributes.
+// Project returns the result restricted to the named attributes, removing
+// duplicate rows (set semantics, as in Quel's retrieve). Rows are
+// duplicates only when their data are exactly equal (tuple.ExactKey) and
+// their valid periods match.
 func (r *Result) Project(attrs ...string) (*Result, error) {
 	indices := make([]int, 0, len(attrs))
 	for _, a := range attrs {
-		i := r.rel.Schema.Index(a)
+		i := r.schema.Index(a)
 		if i < 0 {
 			return nil, fmt.Errorf("tdb: no attribute %q in result", a)
 		}
 		indices = append(indices, i)
 	}
-	rel, err := algebra.Project(r.rel, indices)
+	sch, err := r.schema.Project(indices)
 	if err != nil {
 		return nil, err
 	}
-	algebra.SortRows(rel)
-	return &Result{rel: rel}, nil
+	type rowKey struct {
+		data  string
+		valid temporal.Interval
+	}
+	out := &Result{schema: sch, event: r.event}
+	seen := make(map[rowKey]bool, len(r.rows))
+	for _, row := range r.rows {
+		row.Data = row.Data.Project(indices)
+		k := rowKey{row.Data.ExactKey(), row.Valid}
+		if !seen[k] {
+			seen[k] = true
+			out.rows = append(out.rows, row)
+		}
+	}
+	out.sort()
+	return out, nil
 }
 
 // Where filters the result rows by an attribute predicate.
 func (r *Result) Where(pred func(Tuple) (bool, error)) (*Result, error) {
-	rel, err := algebra.Select(r.rel, func(row algebra.Row) (bool, error) {
-		return pred(row.Data)
-	})
-	if err != nil {
-		return nil, err
+	out := &Result{schema: r.schema, event: r.event}
+	for _, row := range r.rows {
+		ok, err := pred(row.Data)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.rows = append(out.rows, row)
+		}
 	}
-	return &Result{rel: rel}, nil
+	return out, nil
 }
 
 // Coalesce returns the result with value-equivalent rows merged over
-// overlapping or adjacent valid periods.
+// overlapping or adjacent valid periods (core.Coalesce). Event results are
+// returned unchanged: instants don't merge.
 func (r *Result) Coalesce() *Result {
-	rel := algebra.Coalesce(r.rel)
-	algebra.SortRows(rel)
-	return &Result{rel: rel}
+	out := &Result{schema: r.schema, event: r.event, rows: append([]Version(nil), r.rows...)}
+	if !r.event {
+		out.rows = core.Coalesce(out.rows)
+	}
+	out.sort()
+	return out
+}
+
+// sort orders the rows deterministically: by data rendering, then valid
+// period, then — for distinct data that render alike — exact encoding.
+func (r *Result) sort() {
+	sort.Slice(r.rows, func(i, j int) bool {
+		a, b := r.rows[i], r.rows[j]
+		if as, bs := a.Data.String(), b.Data.String(); as != bs {
+			return as < bs
+		}
+		if a.Valid.From != b.Valid.From {
+			return a.Valid.From < b.Valid.From
+		}
+		if a.Valid.To != b.Valid.To {
+			return a.Valid.To < b.Valid.To
+		}
+		return a.Data.ExactKey() < b.Data.ExactKey()
+	})
 }
 
 // String renders the result in the paper's table style, with the implicit
@@ -229,13 +267,13 @@ func (r *Result) Coalesce() *Result {
 // valid time).
 func (r *Result) String() string {
 	hasValid := false
-	for _, row := range r.rel.Rows {
+	for _, row := range r.rows {
 		if row.Valid != temporal.All {
 			hasValid = true
 			break
 		}
 	}
-	sch := r.rel.Schema
+	sch := r.schema
 	headers := make([]string, 0, sch.Arity()+2)
 	for i := 0; i < sch.Arity(); i++ {
 		headers = append(headers, sch.Attr(i).Name)
@@ -243,20 +281,20 @@ func (r *Result) String() string {
 	split := 0
 	if hasValid {
 		split = len(headers)
-		if r.rel.Event {
+		if r.event {
 			headers = append(headers, "valid at")
 		} else {
 			headers = append(headers, "valid from", "valid to")
 		}
 	}
 	tbl := pretty.Table{Headers: headers, Split: split}
-	for _, row := range r.rel.Rows {
+	for _, row := range r.rows {
 		cells := make([]string, 0, len(headers))
 		for _, v := range row.Data {
 			cells = append(cells, v.String())
 		}
 		if hasValid {
-			if r.rel.Event {
+			if r.event {
 				cells = append(cells, row.Valid.From.String())
 			} else {
 				cells = append(cells, row.Valid.From.String(), row.Valid.To.String())
@@ -270,24 +308,33 @@ func (r *Result) String() string {
 // Join combines two results: tuples concatenate (colliding attribute names
 // are qualified with the given prefixes), derived valid periods are the
 // intersections of the operands', and rows whose combined data fail the
-// optional on predicate are dropped.
+// optional on predicate are dropped. Pairs whose valid periods are disjoint
+// produce no row — two facts that never held simultaneously cannot join.
 func Join(a, b *Result, aPrefix, bPrefix string, on func(Tuple) (bool, error)) (*Result, error) {
-	rel, err := algebra.Product(a.rel, b.rel, aPrefix, bPrefix)
+	sch, err := schema.Concat(a.schema, b.schema, aPrefix, bPrefix)
 	if err != nil {
 		return nil, err
 	}
-	if on != nil {
-		rel, err = algebra.Select(rel, func(row algebra.Row) (bool, error) {
-			return on(row.Data)
-		})
-		if err != nil {
-			return nil, err
+	out := &Result{schema: sch, event: a.event && b.event}
+	for _, ra := range a.rows {
+		for _, rb := range b.rows {
+			v := ra.Valid.Intersect(rb.Valid)
+			if v.IsEmpty() && !ra.Valid.IsEmpty() && !rb.Valid.IsEmpty() {
+				continue
+			}
+			row := Version{Data: tuple.Concat(ra.Data, rb.Data), Valid: v}
+			if on != nil {
+				ok, err := on(row.Data)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue
+				}
+			}
+			out.rows = append(out.rows, row)
 		}
 	}
-	algebra.SortRows(rel)
-	return &Result{rel: rel}, nil
-}
-
-func compareValues(a, b Value) (int, error) {
-	return valueCompare(a, b)
+	out.sort()
+	return out, nil
 }

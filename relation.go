@@ -230,11 +230,11 @@ func (r *Relation) CmpFilter(attr string, op segment.Op, v Value) (*segment.Filt
 // current belief — the primitive behind trend analysis ("how did the number
 // of faculty change over the last 5 years?").
 func (r *Relation) CountAt(t temporal.Chronon) (int, error) {
-	res, err := r.Query().At(t).Run()
-	if err != nil {
-		return 0, err
+	if !r.Kind().SupportsHistorical() {
+		return 0, ErrNoValidTime
 	}
-	return res.Len(), nil
+	vs, _, err := r.Scan(ScanSpec{When: temporal.At(t), HasWhen: true})
+	return len(vs), err
 }
 
 // SeriesPoint is one bucket of a trend series.

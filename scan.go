@@ -67,12 +67,16 @@ type ScanSpec struct {
 // historical key index. The key path returns commit (storage) order, as
 // does a current-belief scan; other paths return their store's order.
 //
-// Scan takes DB.mu.RLock for the store read; the returned slice is a
-// private copy, safe to share across goroutines (see the type comment).
-// Inside a transaction use TxRel.Scan.
+// Scan takes DB.mu.RLock for the store read and fails with ErrClosed once
+// the database is closed; the returned slice is a private copy, safe to
+// share across goroutines (see the type comment). Inside a transaction use
+// TxRel.Scan.
 func (r *Relation) Scan(spec ScanSpec) ([]Version, Access, error) {
 	r.db.mu.RLock()
 	defer r.db.mu.RUnlock()
+	if r.db.closed {
+		return nil, AccessAsOf, ErrClosed
+	}
 	return scanRel(r.rel, spec)
 }
 

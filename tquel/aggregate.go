@@ -1,9 +1,6 @@
 package tquel
 
 import (
-	"fmt"
-	"strings"
-
 	"tdb"
 	"tdb/internal/value"
 	"tdb/temporal"
@@ -53,8 +50,7 @@ func hasAggregates(targets []Target) bool {
 
 // add folds one binding row (its stamps already derived) into its group.
 func (a *aggregator) add(ev *env, valid, trans temporal.Interval) error {
-	var key strings.Builder
-	var plain []tdb.Value
+	var plain tdb.Tuple
 	for _, t := range a.targets {
 		if _, ok := t.Expr.(*Agg); ok {
 			continue
@@ -64,9 +60,8 @@ func (a *aggregator) add(ev *env, valid, trans temporal.Interval) error {
 			return err
 		}
 		plain = append(plain, v)
-		fmt.Fprintf(&key, "%d:%s|", v.Kind(), v.String())
 	}
-	k := key.String()
+	k := plain.ExactKey()
 	g, ok := a.groups[k]
 	if !ok {
 		g = &aggGroup{plain: plain, valid: valid, trans: trans}

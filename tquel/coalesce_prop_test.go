@@ -11,7 +11,7 @@ import (
 
 // Property tests for coalescing: idempotent, order-invariant, and
 // commuting with as-of cuts. The first two run directly against
-// coalesceRows over seeded random stamped rows; the third runs at the
+// Resultset.coalesce over seeded random stamped rows; the third runs at the
 // language level, checking that "retrieve ... as of T coalesce" renders
 // identically to coalescing the uncoalesced as-of result after the fact —
 // i.e. the as-of cut and the coalescing pass commute.
@@ -35,6 +35,13 @@ func randStampedRows(rng *rand.Rand, n int) []ResultRow {
 	return rows
 }
 
+// coalesced returns the coalesced copy of rows.
+func coalesced(rows []ResultRow) []ResultRow {
+	rs := &Resultset{Rows: append([]ResultRow(nil), rows...)}
+	rs.coalesce()
+	return rs.Rows
+}
+
 // normalize renders a row set order-independently for comparison.
 func normalize(rows []ResultRow) string {
 	rs := &Resultset{Rows: append([]ResultRow(nil), rows...)}
@@ -53,8 +60,8 @@ func TestCoalesceIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	for trial := 0; trial < 200; trial++ {
 		rows := randStampedRows(rng, 1+rng.Intn(12))
-		once := coalesceRows(append([]ResultRow(nil), rows...))
-		twice := coalesceRows(append([]ResultRow(nil), once...))
+		once := coalesced(rows)
+		twice := coalesced(once)
 		if got, want := normalize(twice), normalize(once); got != want {
 			t.Fatalf("trial %d: coalesce not idempotent\nonce:\n%s\ntwice:\n%s", trial, want, got)
 		}
@@ -65,11 +72,11 @@ func TestCoalesceOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1985))
 	for trial := 0; trial < 200; trial++ {
 		rows := randStampedRows(rng, 2+rng.Intn(12))
-		base := normalize(coalesceRows(append([]ResultRow(nil), rows...)))
+		base := normalize(coalesced(rows))
 		for p := 0; p < 5; p++ {
 			shuffled := append([]ResultRow(nil), rows...)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			if got := normalize(coalesceRows(shuffled)); got != base {
+			if got := normalize(coalesced(shuffled)); got != base {
 				t.Fatalf("trial %d perm %d: coalesce is order-sensitive\nbase:\n%s\ngot:\n%s",
 					trial, p, base, got)
 			}
@@ -92,7 +99,7 @@ func TestCoalesceCommutesWithAsOf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s coalesce: %v", src, err)
 		}
-		post := normalize(coalesceRows(append([]ResultRow(nil), plain.Rows...)))
+		post := normalize(coalesced(plain.Rows))
 		if got := normalize(viaLang.Rows); got != post {
 			t.Fatalf("as of %s: language coalesce differs from post-hoc coalesce\nlang:\n%s\npost:\n%s",
 				asOf, got, post)

@@ -579,7 +579,7 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 		}
 	}
 	if n.Coalesce {
-		res.Rows = coalesceRows(res.Rows)
+		res.coalesce()
 	}
 	res.sortAndDedup()
 	returned = int64(len(res.Rows))

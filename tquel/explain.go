@@ -59,6 +59,9 @@ func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 		for _, v := range order {
 			fmt.Fprintf(&b, "\n  bind %s (%s), all predicates innermost", v, s.ranges[v])
 		}
+		// The naive path still runs the post-join stages, serially.
+		renderFinish(&b, q, "")
+		b.WriteString("\n  dispatch: serial")
 		return &Outcome{Stmt: "explain", Msg: b.String()}, nil
 	}
 
@@ -74,12 +77,23 @@ func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 		// serially (mirroring execRetrieve's dispatch).
 		agg = &aggregator{}
 	}
-	return &Outcome{Stmt: "explain", Msg: renderPlan(s, pl, agg)}, nil
+	return &Outcome{Stmt: "explain", Msg: renderPlan(s, q, pl, agg)}, nil
+}
+
+// renderFinish appends the post-join stages both executors run: windowed
+// aggregation (with the planner's window estimate, if any) and coalescing.
+func renderFinish(b *strings.Builder, q *RetrieveStmt, est string) {
+	if q.Window != nil {
+		fmt.Fprintf(b, "\n  window: size %d, slide %d%s", q.Window.Size, q.Window.Step(), est)
+	}
+	if q.Coalesce {
+		b.WriteString("\n  coalesce: merge value-equivalent valid intervals")
+	}
 }
 
 // renderPlan formats a compiled plan, one line per binding depth plus a
 // cost footer and the serial-vs-parallel dispatch the executor would pick.
-func renderPlan(s *Session, pl *queryPlan, agg *aggregator) string {
+func renderPlan(s *Session, q *RetrieveStmt, pl *queryPlan, agg *aggregator) string {
 	var b strings.Builder
 	mode := "on"
 	if !pl.statsUsed {
@@ -130,15 +144,11 @@ func renderPlan(s *Session, pl *queryPlan, agg *aggregator) string {
 		fmt.Fprintf(&b, "\n  est work %s, est rows %s, parallel cutoff %s",
 			fmtEst(pl.estWork), fmtEst(pl.estRows), fmtEst(pl.parallelCut))
 	}
-	if pl.windowSize > 0 {
-		fmt.Fprintf(&b, "\n  window: size %d, slide %d", pl.windowSize, pl.windowStep)
-		if pl.statsUsed {
-			fmt.Fprintf(&b, ", est windows %s", fmtEst(pl.estWindows))
-		}
+	est := ""
+	if pl.statsUsed {
+		est = ", est windows " + fmtEst(pl.estWindows)
 	}
-	if pl.coalesced {
-		b.WriteString("\n  coalesce: merge value-equivalent valid intervals")
-	}
+	renderFinish(&b, q, est)
 	workers := s.effectiveParallelism()
 	if useParallel(pl, workers, agg) {
 		fmt.Fprintf(&b, "\n  dispatch: parallel (%d workers)", workers)

@@ -239,7 +239,8 @@ func TestExplainParseAndCount(t *testing.T) {
 	}
 }
 
-// Under DisablePlanner, explain reports the naive shape instead of failing.
+// Under DisablePlanner, explain reports the naive shape instead of failing,
+// including the serial dispatch that path always takes.
 func TestExplainPlannerDisabled(t *testing.T) {
 	ses := planFixture(t)
 	ses.DisablePlanner(true)
@@ -249,7 +250,8 @@ func TestExplainPlannerDisabled(t *testing.T) {
 	}
 	want := `plan: naive nested loop (planner disabled)
   bind s (small), all predicates innermost
-  bind b (big), all predicates innermost`
+  bind b (big), all predicates innermost
+  dispatch: serial`
 	if outs[0].Msg != want {
 		t.Errorf("planner-off explain drifted:\n--- got ---\n%s\n--- want ---\n%s", outs[0].Msg, want)
 	}

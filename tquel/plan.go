@@ -80,10 +80,7 @@ type queryPlan struct {
 	parallelCut  float64 // estWork threshold for the parallel dispatch
 	overlapSkips int64   // interval-index probes skipped on selectivity advice
 
-	// Windowed-aggregation and coalescing annotations (see window.go).
-	windowSize int64   // window clause size; 0 when unwindowed
-	windowStep int64   // effective slide (size for tumbling windows)
-	coalesced  bool    // statement carries a coalesce clause
+	// Windowed-aggregation annotation (see window.go).
 	estWindows float64 // estimated windows the aggregation materializes
 }
 
@@ -798,8 +795,6 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 	// parallel-dispatch comparison prices in (a wide window sweep justifies
 	// fanning the scan out earlier). Coalescing adds one more linear pass.
 	if n.Window != nil {
-		pl.windowSize = n.Window.Size
-		pl.windowStep = n.Window.Step()
 		if pl.statsUsed {
 			var span float64
 			for i := range pl.vars {
@@ -811,16 +806,13 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 			}
 			pl.estWindows = 1
 			if span > 0 {
-				pl.estWindows += span / float64(pl.windowStep)
+				pl.estWindows += span / float64(n.Window.Step())
 			}
 			pl.estWork += pl.estRows + pl.estWindows
 		}
 	}
-	if n.Coalesce {
-		pl.coalesced = true
-		if pl.statsUsed {
-			pl.estWork += pl.estRows
-		}
+	if n.Coalesce && pl.statsUsed {
+		pl.estWork += pl.estRows
 	}
 	return pl, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"tdb"
+	"tdb/internal/core"
 	"tdb/internal/pretty"
 	"tdb/internal/value"
 	"tdb/temporal"
@@ -150,25 +151,81 @@ func (r *Resultset) String() string {
 	return tbl.String()
 }
 
-// sortAndDedup puts rows in a deterministic order and removes duplicates.
-// Keys are computed at most once per row (not per comparison) and reused
-// from ResultRow.key when the executor already paid for them.
-func (r *Resultset) sortAndDedup() {
-	for i := range r.Rows {
-		if r.Rows[i].key == "" {
-			r.Rows[i].key = r.Rows[i].canonicalKey()
+// sortAndDedup puts rows in a deterministic order and removes duplicates:
+// a row is dropped only as an exact duplicate — equal data encoding and
+// stamps — of its predecessor.
+func (r *Resultset) sortAndDedup() { r.Rows = sortRows(r.Rows, true) }
+
+// sortRows orders rows by canonical key, computed at most once per row (not
+// per comparison) and reused from ResultRow.key when the executor already
+// paid for it. Equal keys mean equal stamps and equal renderings, but
+// distinct data can render alike (("a, b", "c") and ("a", "b, c")), so a
+// run of equal keys is ordered by exact encoding (tdb.Tuple.ExactKey). With
+// dedup, exact duplicates within a run collapse to one row. The result
+// reuses rows' backing array.
+func sortRows(rows []ResultRow, dedup bool) []ResultRow {
+	for i := range rows {
+		if rows[i].key == "" {
+			rows[i].key = rows[i].canonicalKey()
 		}
 	}
-	sort.Slice(r.Rows, func(i, j int) bool { return r.Rows[i].key < r.Rows[j].key })
-	out := r.Rows[:0]
-	prev := ""
-	for _, row := range r.Rows {
-		if row.key != prev {
-			out = append(out, row)
-			prev = row.key
+	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+	out := rows[:0]
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j].key == rows[i].key {
+			j++
 		}
+		run := rows[i:j]
+		if len(run) == 1 {
+			out = append(out, run[0])
+			i = j
+			continue
+		}
+		exact := make([]string, len(run))
+		for k := range run {
+			exact[k] = run[k].Data.ExactKey()
+		}
+		sort.Sort(byExact{run, exact})
+		for k := range run {
+			if !dedup || k == 0 || exact[k] != exact[k-1] {
+				out = append(out, run[k])
+			}
+		}
+		i = j
 	}
-	r.Rows = out
+	return out
+}
+
+// byExact sorts a run of rows by their exact data keys.
+type byExact struct {
+	rows  []ResultRow
+	exact []string
+}
+
+func (b byExact) Len() int           { return len(b.rows) }
+func (b byExact) Less(i, j int) bool { return b.exact[i] < b.exact[j] }
+func (b byExact) Swap(i, j int) {
+	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]
+	b.exact[i], b.exact[j] = b.exact[j], b.exact[i]
+}
+
+// coalesce merges value-equivalent rows whose valid periods overlap or meet
+// (core.Coalesce, which also extends the transaction stamps). Event
+// resultsets are left alone: instants don't merge (DESIGN.md §5).
+func (r *Resultset) coalesce() {
+	if r.Event {
+		return
+	}
+	vs := make([]tdb.Version, len(r.Rows))
+	for i, row := range r.Rows {
+		vs[i] = tdb.Version{Data: row.Data, Valid: row.Valid, Trans: row.Trans}
+	}
+	vs = core.Coalesce(vs)
+	r.Rows = r.Rows[:len(vs)]
+	for i, v := range vs {
+		r.Rows[i] = ResultRow{Data: v.Data, Valid: v.Valid, Trans: v.Trans}
+	}
 }
 
 // Outcome is the result of executing one statement.

@@ -1,10 +1,7 @@
 package tquel
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
+	"tdb"
 	"tdb/temporal"
 )
 
@@ -97,12 +94,7 @@ func (a *windowAggregator) finish(rows []ResultRow, res *Resultset) error {
 
 	// Canonical fold order: sort the pseudo-rows by their canonical keys so
 	// the per-accumulator fold sequence is scan-order independent.
-	for i := range rows {
-		if rows[i].key == "" {
-			rows[i].key = rows[i].canonicalKey()
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+	rows = sortRows(rows, false)
 
 	for i := range rows {
 		row := &rows[i]
@@ -120,15 +112,13 @@ func (a *windowAggregator) finish(rows []ResultRow, res *Resultset) error {
 		if ks > ke {
 			continue
 		}
-		var gb strings.Builder
+		var plain tdb.Tuple
 		for ti, t := range a.targets {
-			if _, ok := t.Expr.(*Agg); ok {
-				continue
+			if _, ok := t.Expr.(*Agg); !ok {
+				plain = append(plain, row.Data[ti])
 			}
-			v := row.Data[ti]
-			fmt.Fprintf(&gb, "%d:%s|", v.Kind(), v.String())
 		}
-		group := gb.String()
+		group := plain.ExactKey()
 		for k := ks; k <= ke; k++ {
 			if err := a.fold(winKey{group: group, idx: k}, row); err != nil {
 				return err
@@ -192,58 +182,4 @@ func (a *windowAggregator) fold(wk winKey, row *ResultRow) error {
 		ai++
 	}
 	return nil
-}
-
-// coalesceRows merges value-equivalent rows whose valid intervals overlap or
-// meet — the taxonomy's coalescing operation, lifted from interval sets
-// (temporal.Coalesce) to stamped tuples. Each merged row's valid interval is
-// the extension of its contributors' and its transaction stamp the extension
-// of theirs. The pass is idempotent and order-invariant: groups are swept in
-// (From, To) order, so any permutation of the input produces the same rows.
-func coalesceRows(rows []ResultRow) []ResultRow {
-	if len(rows) <= 1 {
-		return rows
-	}
-	groups := map[string][]ResultRow{}
-	var order []string
-	for _, row := range rows {
-		var kb strings.Builder
-		for _, v := range row.Data {
-			fmt.Fprintf(&kb, "%d:%s|", v.Kind(), v.String())
-		}
-		k := kb.String()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], row)
-	}
-	out := rows[:0]
-	for _, k := range order {
-		g := groups[k]
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].Valid.From != g[j].Valid.From {
-				return g[i].Valid.From < g[j].Valid.From
-			}
-			if g[i].Valid.To != g[j].Valid.To {
-				return g[i].Valid.To < g[j].Valid.To
-			}
-			if g[i].Trans.From != g[j].Trans.From {
-				return g[i].Trans.From < g[j].Trans.From
-			}
-			return g[i].Trans.To < g[j].Trans.To
-		})
-		cur := g[0]
-		for _, row := range g[1:] {
-			if row.Valid.From <= cur.Valid.To {
-				cur.Valid = cur.Valid.Extend(row.Valid)
-				cur.Trans = cur.Trans.Extend(row.Trans)
-				cur.key = "" // stamps changed; sortAndDedup recomputes
-				continue
-			}
-			out = append(out, cur)
-			cur = row
-		}
-		out = append(out, cur)
-	}
-	return out
 }
